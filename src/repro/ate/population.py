@@ -178,16 +178,9 @@ class PopulationGenerator:
         device_id = self._next_device_id()
         return self._tester.test_device(device_id, faults={})
 
-    def _generate_failed_batch(self, count: int) -> list[DeviceResult]:
-        """Sample ``count`` faults up-front and test the devices in one batch."""
-        faults = self.fault_universe.sample_batch(count, self._rng,
-                                                  self.block_weights)
-        device_ids = [self._next_device_id() for _ in range(count)]
-        return self._tester.test_devices(
-            device_ids, [{fault.block: fault} for fault in faults])
-
     def _generate_failed_store(self, count: int):
-        """Columnar :meth:`_generate_failed_batch`: same RNG stream, no rows."""
+        """Sample ``count`` faults up-front and test the devices in one
+        columnar batch; returns ``(store, faults)``."""
         faults = self.fault_universe.sample_batch(count, self._rng,
                                                   self.block_weights)
         device_ids = [self._next_device_id() for _ in range(count)]

@@ -216,8 +216,17 @@ class DiagnosisFailure:
     @classmethod
     def from_exception(cls, case_name: str, evidence: Mapping[str, str],
                        error: BaseException,
-                       attempts: tuple[AttemptRecord, ...] = (),
-                       wall_time: float = 0.0) -> "DiagnosisFailure":
+                       attempts: tuple[AttemptRecord, ...] | None = None,
+                       wall_time: float | None = None) -> "DiagnosisFailure":
+        """Record ``error`` for one slot, by default with the attempt trail
+        and wall time the robust engine attaches to its errors (a non-tuple
+        ``attempts``, such as a worker crash's retry count, records ``()``)."""
+        if attempts is None:
+            attempts = getattr(error, "attempts", ())
+            if not isinstance(attempts, tuple):
+                attempts = ()
+        if wall_time is None:
+            wall_time = float(getattr(error, "wall_time", 0.0) or 0.0)
         return cls(case_name=case_name, evidence=dict(evidence),
                    error_type=type(error).__name__, message=str(error),
                    attempts=attempts, wall_time=wall_time)
@@ -331,6 +340,11 @@ class Diagnosis:
                 f"block {block!r} is not an internal model variable") from None
 
 
+def _ranked(fail: Mapping[str, float]) -> list[tuple[str, float]]:
+    """Return ``(variable, fail probability)`` pairs, most suspicious first."""
+    return sorted(fail.items(), key=lambda item: item[1], reverse=True)
+
+
 class DiagnosisEngine:
     """Runs block-level diagnosis queries against a built BBN circuit model.
 
@@ -389,6 +403,11 @@ class DiagnosisEngine:
         self.model = built_model.description
         self.network = built_model.network
         self.healthy_states = built_model.healthy_states
+        # State labels of every variable in model order (evidence collapse)
+        # and the internal variables (fail probabilities), resolved once.
+        self._labels = {variable: self.model.state_table(variable).labels
+                        for variable in self.model.variable_names}
+        self._internal = self.model.internal_variables
         self.abnormal_threshold = float(abnormal_threshold)
         self.ambiguous_threshold = float(ambiguous_threshold)
         self.inference_name = inference
@@ -514,12 +533,7 @@ class DiagnosisEngine:
     # --------------------------------------------------------------- posteriors
     def initial_probabilities(self) -> dict[str, dict[str, float]]:
         """Return the prior marginals of every variable (the Init.% column)."""
-        if self.compiled:
-            self.compiled_query_count += 1
-            computed = self._program_for(()).posteriors({})
-            return {variable: computed[variable]
-                    for variable in self.model.variable_names}
-        return self._engine.posteriors(self.model.variable_names, evidence={})
+        return self.update({})
 
     def update(self, evidence: Mapping[str, str]) -> dict[str, dict[str, float]]:
         """Return the posterior marginals of every variable given ``evidence``.
@@ -529,30 +543,88 @@ class DiagnosisEngine:
         per variable; evidence variables collapse onto their observed state.
         """
         evidence = validate_evidence(self.model, evidence)
-        free = [variable for variable in self.model.variable_names
-                if variable not in evidence]
+        return self._posteriors(evidence, self._marginals(evidence))
+
+    def _marginals(self, evidence: dict[str, str]
+                   ) -> dict[str, dict[str, float]]:
+        """Return the free-variable marginals of one validated case.
+
+        Raises :class:`~repro.exceptions.ImpossibleEvidenceError` when the
+        evidence has zero probability under the model.
+        """
         if self.compiled:
             program = self._program_for(tuple(sorted(evidence)))
             self.compiled_query_count += 1
-            computed = program.posteriors(evidence)
-        else:
-            computed = self._engine.posteriors(free, evidence)
+            return program.posteriors(evidence)
+        free = [variable for variable in self._labels
+                if variable not in evidence]
+        return self._engine.posteriors(free, evidence)
+
+    def _sweep(self, evidences: list[dict[str, str]]
+               ) -> list[dict[str, dict[str, float]] | None]:
+        """Return the free-variable marginals of many validated cases
+        (``None`` where the evidence has zero probability).
+
+        Compiled engines run one ``run_batch`` per evidence-variable
+        signature over its unique rows, interpreted VE one batched
+        elimination per signature, the samplers and interpreted JT one
+        pass per case.
+        """
+        if not self.compiled:
+            if isinstance(self._engine, VariableElimination):
+                return self._engine.posteriors_batch(evidences,
+                                                     validated=True)
+            swept = []
+            for evidence in evidences:
+                try:
+                    swept.append(self._marginals(evidence))
+                except ImpossibleEvidenceError:
+                    swept.append(None)
+            return swept
+        groups: dict[tuple[str, ...], list[int]] = {}
+        for slot, evidence in enumerate(evidences):
+            groups.setdefault(tuple(sorted(evidence)), []).append(slot)
+        swept = [None] * len(evidences)
+        for signature, slots in groups.items():
+            program = self._program_for(signature)
+            codes = program.encode([evidences[slot] for slot in slots])
+            unique, inverse = np.unique(codes, axis=0, return_inverse=True)
+            batch = program.run_batch(unique, on_impossible="mask")
+            self.compiled_query_count += len(slots)
+            rows: dict[int, dict[str, dict[str, float]] | None] = {}
+            for slot, row in zip(slots, np.ravel(inverse).tolist()):
+                if row not in rows:
+                    rows[row] = batch.distributions(row) \
+                        if batch.evidence_probability[row] > 0.0 else None
+                swept[slot] = rows[row]
+        return swept
+
+    def _posteriors(self, evidence: Mapping[str, str],
+                    marginals: Mapping[str, dict[str, float]]
+                    ) -> dict[str, dict[str, float]]:
+        """Every variable's posterior in model order: ``marginals`` for the
+        free variables, evidence variables collapsed onto their state."""
         posteriors: dict[str, dict[str, float]] = {}
-        for variable in self.model.variable_names:
-            if variable in evidence:
-                labels = self.model.state_table(variable).labels
-                posteriors[variable] = {label: 1.0 if label == evidence[variable] else 0.0
-                                        for label in labels}
-            else:
-                posteriors[variable] = computed[variable]
+        for variable, labels in self._labels.items():
+            state = evidence.get(variable)
+            posteriors[variable] = marginals[variable] if state is None \
+                else {label: 1.0 if label == state else 0.0
+                      for label in labels}
         return posteriors
 
     def fail_probability(self, variable: str,
                          posteriors: Mapping[str, Mapping[str, float]]) -> float:
         """Return the probability that ``variable`` is not in its healthy state."""
-        healthy = self.healthy_states[variable]
-        distribution = posteriors[variable]
-        return 1.0 - float(distribution.get(healthy, 0.0))
+        return 1.0 - float(posteriors[variable].get(
+            self.healthy_states[variable], 0.0))
+
+    def _fail_probabilities(self, posteriors: Mapping[str, Mapping[str, float]]
+                            ) -> dict[str, float]:
+        """Return the fail probability of every internal variable."""
+        healthy = self.healthy_states
+        return {variable: 1.0 - float(posteriors[variable].get(
+                    healthy[variable], 0.0))
+                for variable in self._internal}
 
     # ---------------------------------------------------------------- deduction
     def deduce_candidates(self, posteriors: Mapping[str, Mapping[str, float]]
@@ -578,9 +650,7 @@ class DiagnosisEngine:
 
         The returned list is ordered by decreasing fail probability.
         """
-        return self._deduce_from_fail(
-            {variable: self.fail_probability(variable, posteriors)
-             for variable in self.model.internal_variables})
+        return self._deduce_from_fail(self._fail_probabilities(posteriors))
 
     def _deduce_from_fail(self, fail: dict[str, float]) -> list[str]:
         """Back-track suspects from precomputed internal fail probabilities."""
@@ -626,44 +696,32 @@ class DiagnosisEngine:
     def rank_by_fail_probability(self, posteriors: Mapping[str, Mapping[str, float]]
                                  ) -> list[tuple[str, float]]:
         """Return every internal variable ranked by fail probability (naive ranking)."""
-        fail = {variable: self.fail_probability(variable, posteriors)
-                for variable in self.model.internal_variables}
-        return sorted(fail.items(), key=lambda item: item[1], reverse=True)
-
-    def _internal_fail_probabilities(
-            self, posteriors: Mapping[str, Mapping[str, float]]
-    ) -> dict[str, float]:
-        """Return the fail probability of every internal variable."""
-        healthy = self.healthy_states
-        return {variable: 1.0 - float(posteriors[variable].get(
-                    healthy[variable], 0.0))
-                for variable in self.model.internal_variables}
+        return _ranked(self._fail_probabilities(posteriors))
 
     # ---------------------------------------------------------------- diagnosis
+    def _diagnosis(self, name: str, evidence: dict[str, str],
+                   marginals: Mapping[str, dict[str, float]],
+                   provenance: DiagnosisProvenance | None = None) -> Diagnosis:
+        """Assemble one case's :class:`Diagnosis` from its marginals: the
+        evidence collapses onto its states (full posteriors are accepted
+        too), and suspects and ranking share one fail-probability pass."""
+        posteriors = self._posteriors(evidence, marginals)
+        fail = self._fail_probabilities(posteriors)
+        return Diagnosis(case_name=name, evidence=evidence,
+                         posteriors=posteriors, fail_probabilities=fail,
+                         suspects=self._deduce_from_fail(fail),
+                         ranked_candidates=_ranked(fail),
+                         provenance=provenance)
+
     def diagnose(self, case: DiagnosticCase) -> Diagnosis:
         """Diagnose one case: update posteriors and deduce the suspect list."""
-        evidence = case.evidence()
-        posteriors = self.update(evidence)
-        fail = {variable: self.fail_probability(variable, posteriors)
-                for variable in self.model.internal_variables}
-        return Diagnosis(
-            case_name=case.name,
-            evidence=evidence,
-            posteriors=posteriors,
-            fail_probabilities=fail,
-            suspects=self.deduce_candidates(posteriors),
-            ranked_candidates=self.rank_by_fail_probability(posteriors),
-        )
-
-    def _case_from_evidence(self, evidence: Mapping[str, str],
-                            name: str) -> DiagnosticCase:
-        """Wrap a raw evidence mapping into a :class:`DiagnosticCase`."""
-        return case_from_evidence(self.model, evidence, name)
+        evidence = validate_evidence(self.model, case.evidence())
+        return self._diagnosis(case.name, evidence, self._marginals(evidence))
 
     def diagnose_evidence(self, evidence: Mapping[str, str],
                           name: str = "adhoc") -> Diagnosis:
         """Diagnose from a raw evidence mapping (observable/controllable states)."""
-        return self.diagnose(self._case_from_evidence(evidence, name))
+        return self.diagnose(case_from_evidence(self.model, evidence, name))
 
     def diagnose_batch(self, cases: Sequence[DiagnosticCase | Mapping[str, str]],
                        names: Sequence[str] | None = None,
@@ -673,11 +731,11 @@ class DiagnosisEngine:
         """Diagnose a whole population of cases against one shared engine.
 
         Engine construction (network validation, junction-tree compilation)
-        is paid once for the entire batch, every case's posterior update is a
-        single inference sweep, and duplicate failing conditions across the
-        population hit the engine's evidence-keyed cache instead of being
-        recomputed — the intended entry point for customer-return and
-        fault-coverage population workflows.
+        is paid once for the entire batch, every case is validated on its
+        own, and all valid cases then share one sweep (see :meth:`_sweep`)
+        in which duplicate failing conditions cost one evidence row — the
+        intended entry point for customer-return and fault-coverage
+        population workflows.
 
         Parameters
         ----------
@@ -710,221 +768,58 @@ class DiagnosisEngine:
         if names is not None and len(names) != len(cases):
             raise DiagnosisError(
                 f"got {len(names)} names for {len(cases)} cases")
-        if deadline is None and type(self) is DiagnosisEngine \
-                and self.compiled:
-            return self._diagnose_batch_compiled(cases, names, on_error)
-        if (deadline is None and type(self) is DiagnosisEngine
-                and isinstance(self._engine, VariableElimination)):
-            return self._diagnose_batch_ve(cases, names, on_error)
-        diagnose = self.diagnose if deadline is None \
-            else self._deadline_diagnose(deadline)
-        results: list[Diagnosis | DiagnosisFailure] = []
-        for index, case in enumerate(cases):
-            results.append(self._diagnose_one(case, index, names, on_error,
-                                              diagnose))
-        if on_error == "skip":
-            return [result for result in results if result is not None]
-        return results
-
-    def _diagnose_batch_ve(self, cases, names, on_error):
-        """Batched variable-elimination fast path of :meth:`diagnose_batch`.
-
-        Case preparation and evidence validation stay per-case (isolation
-        semantics identical to the scalar loop); the posterior updates of
-        every valid case run through
-        :meth:`~repro.bayesnet.inference.variable_elimination.VariableElimination.posteriors_batch`,
-        which shares one elimination sweep per evidence pattern instead of
-        one per case.
-        """
+        per_case = self._per_case_diagnose(deadline)
+        # Interpreted VE surfaces engine-level evidence problems here, per
+        # case, so its shared batched sweep can never fail as a whole.
+        engine_validates = isinstance(self._engine, VariableElimination) \
+            and not self.compiled
         results: list[Diagnosis | DiagnosisFailure | None] = [None] * len(cases)
-        prepared: list[tuple[int, str, dict[str, str]]] = []
-        evidences: list[dict[str, str]] = []
+        slots: list[tuple[int, str, dict[str, str]]] = []
         for index, case in enumerate(cases):
-            if isinstance(case, DiagnosticCase):
-                name = case.name
-                raw = case.raw_evidence()
-            else:
-                name = names[index] if names is not None else f"case-{index}"
-                raw = {str(variable): str(state)
-                       for variable, state in case.items()}
+            if not isinstance(case, DiagnosticCase):
+                case = case_from_evidence(
+                    self.model, case,
+                    names[index] if names is not None else f"case-{index}")
             try:
-                if not isinstance(case, DiagnosticCase):
-                    case = self._case_from_evidence(case, name)
-                evidence = validate_evidence(self.model, case.evidence())
-                # Surface engine-level evidence problems here, per case, so
-                # the shared batched sweep below can never fail as a whole.
-                self._engine._validate([], evidence)
-            except Exception as error:
-                if on_error == "raise":
-                    raise
-                results[index] = DiagnosisFailure.from_exception(
-                    name, raw, error,
-                    attempts=tuple(getattr(error, "attempts", ()) or ()),
-                    wall_time=float(getattr(error, "wall_time", 0.0) or 0.0))
-                continue
-            prepared.append((index, name, evidence))
-            evidences.append(evidence)
-
-        variable_names = self.model.variable_names
-        labels = {variable: self.model.state_table(variable).labels
-                  for variable in variable_names}
-        for (index, name, evidence), computed in zip(
-                prepared,
-                self._engine.posteriors_batch(evidences, validated=True)):
-            if computed is None:
-                error = ImpossibleEvidenceError(
-                    "the evidence has zero probability under the model; "
-                    "posteriors are undefined", evidence=evidence)
-                if on_error == "raise":
-                    raise error
-                results[index] = DiagnosisFailure.from_exception(
-                    name, evidence, error)
-                continue
-            posteriors: dict[str, dict[str, float]] = {}
-            for variable in variable_names:
-                if variable in evidence:
-                    observed = evidence[variable]
-                    posteriors[variable] = {
-                        label: 1.0 if label == observed else 0.0
-                        for label in labels[variable]}
-                else:
-                    posteriors[variable] = computed[variable]
-            fail = self._internal_fail_probabilities(posteriors)
-            results[index] = Diagnosis(
-                case_name=name,
-                evidence=evidence,
-                posteriors=posteriors,
-                fail_probabilities=fail,
-                suspects=self._deduce_from_fail(fail),
-                ranked_candidates=sorted(fail.items(),
-                                         key=lambda item: item[1],
-                                         reverse=True),
-            )
-        if on_error == "skip":
-            return [result for result in results
-                    if isinstance(result, Diagnosis)]
-        return results
-
-    def _diagnose_batch_compiled(self, cases, names, on_error):
-        """Compiled fast path of :meth:`diagnose_batch`.
-
-        Case preparation and evidence validation stay per-case (isolation
-        semantics identical to the scalar loop); valid cases are grouped by
-        evidence-variable signature, each group's evidence is encoded into
-        one integer state matrix, deduplicated, and pushed through the
-        group's :class:`~repro.bayesnet.inference.CompiledProgram` as one
-        vectorised ``run_batch`` sweep.
-        """
-        results: list[Diagnosis | DiagnosisFailure | None] = [None] * len(cases)
-        groups: dict[tuple[str, ...],
-                     list[tuple[int, str, dict[str, str]]]] = {}
-        for index, case in enumerate(cases):
-            if isinstance(case, DiagnosticCase):
-                name = case.name
-                raw = case.raw_evidence()
-            else:
-                name = names[index] if names is not None else f"case-{index}"
-                raw = {str(variable): str(state)
-                       for variable, state in case.items()}
-            try:
-                if not isinstance(case, DiagnosticCase):
-                    case = self._case_from_evidence(case, name)
-                evidence = validate_evidence(self.model, case.evidence())
-            except Exception as error:
-                if on_error == "raise":
-                    raise
-                results[index] = DiagnosisFailure.from_exception(
-                    name, raw, error,
-                    attempts=tuple(getattr(error, "attempts", ()) or ()),
-                    wall_time=float(getattr(error, "wall_time", 0.0) or 0.0))
-                continue
-            signature = tuple(sorted(evidence))
-            groups.setdefault(signature, []).append((index, name, evidence))
-
-        variable_names = self.model.variable_names
-        labels = {variable: self.model.state_table(variable).labels
-                  for variable in variable_names}
-        for signature, slots in groups.items():
-            program = self._program_for(signature)
-            codes = program.encode([evidence for _, _, evidence in slots])
-            unique, inverse = np.unique(codes, axis=0, return_inverse=True)
-            inverse = np.asarray(inverse).reshape(-1)
-            batch = program.run_batch(unique, on_impossible="mask")
-            self.compiled_query_count += len(slots)
-            # One marginal-dict set per unique evidence row; duplicated
-            # devices share them, exactly like the evidence-cache hits of
-            # the interpreted batch path.
-            computed_rows: dict[int, dict[str, dict[str, float]]] = {}
-            for (index, name, evidence), row in zip(slots, inverse):
-                row = int(row)
-                if not batch.evidence_probability[row] > 0.0:
-                    error = ImpossibleEvidenceError(
-                        "the evidence has zero probability under the model; "
-                        "posteriors are undefined", evidence=evidence)
-                    if on_error == "raise":
-                        raise error
-                    results[index] = DiagnosisFailure.from_exception(
-                        name, evidence, error)
+                if per_case is not None:
+                    results[index] = per_case(case)
                     continue
-                computed = computed_rows.get(row)
-                if computed is None:
-                    computed = batch.distributions(row)
-                    computed_rows[row] = computed
-                posteriors: dict[str, dict[str, float]] = {}
-                for variable in variable_names:
-                    if variable in evidence:
-                        observed = evidence[variable]
-                        posteriors[variable] = {
-                            label: 1.0 if label == observed else 0.0
-                            for label in labels[variable]}
-                    else:
-                        posteriors[variable] = computed[variable]
-                fail = self._internal_fail_probabilities(posteriors)
-                results[index] = Diagnosis(
-                    case_name=name,
-                    evidence=evidence,
-                    posteriors=posteriors,
-                    fail_probabilities=fail,
-                    suspects=self._deduce_from_fail(fail),
-                    ranked_candidates=sorted(fail.items(),
-                                             key=lambda item: item[1],
-                                             reverse=True),
-                )
+                evidence = validate_evidence(self.model, case.evidence())
+                if engine_validates:
+                    self._engine._validate([], evidence)
+            except Exception as error:
+                if on_error == "raise":
+                    raise
+                results[index] = DiagnosisFailure.from_exception(
+                    case.name, case.raw_evidence(), error)
+                continue
+            slots.append((index, case.name, evidence))
+
+        swept = self._sweep([evidence for _, _, evidence in slots])
+        for (index, name, evidence), marginals in zip(slots, swept):
+            if marginals is not None:
+                results[index] = self._diagnosis(name, evidence, marginals)
+                continue
+            error = ImpossibleEvidenceError(
+                "the evidence has zero probability under the model; "
+                "posteriors are undefined", evidence=evidence)
+            if on_error == "raise":
+                raise error
+            results[index] = DiagnosisFailure.from_exception(
+                name, evidence, error)
         if on_error == "skip":
-            return [result for result in results
-                    if isinstance(result, Diagnosis)]
+            return [result for result in results if result.ok]
         return results
 
-    def _deadline_diagnose(self, deadline: float):
-        """Return a per-case diagnose callable sharing a batch deadline."""
+    def _per_case_diagnose(self, deadline: float | None):
+        """Return the callable each batch slot runs through, or ``None`` for
+        the shared sweep; the robust engine returns its fallback chain."""
+        if deadline is None:
+            return None
         raise DiagnosisError(
             f"{type(self).__name__} does not enforce batch deadlines; use "
             "repro.core.robust.RobustDiagnosisEngine for deadline-bounded "
             "batches")
-
-    def _diagnose_one(self, case, index, names, on_error, diagnose):
-        """Run one batch slot through ``diagnose`` under the isolation mode."""
-        if isinstance(case, DiagnosticCase):
-            name = case.name
-            raw = case.raw_evidence()
-        else:
-            name = names[index] if names is not None else f"case-{index}"
-            raw = {str(variable): str(state)
-                   for variable, state in case.items()}
-        try:
-            if not isinstance(case, DiagnosticCase):
-                case = self._case_from_evidence(case, name)
-            return diagnose(case)
-        except Exception as error:
-            if on_error == "raise":
-                raise
-            # Robust serving errors carry their attempt trail; plain engine
-            # errors default to an empty one.
-            failure = DiagnosisFailure.from_exception(
-                name, raw, error,
-                attempts=tuple(getattr(error, "attempts", ()) or ()),
-                wall_time=float(getattr(error, "wall_time", 0.0) or 0.0))
-            return failure if on_error == "collect" else None
 
     def diagnose_measurements(self, conditions: Mapping[str, float],
                               measurements: Mapping[str, float],

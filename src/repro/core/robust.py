@@ -305,9 +305,9 @@ class RobustDiagnosisEngine(DiagnosisEngine):
             if cached is not None:
                 attempts.append(AttemptRecord(
                     "cache", "ok", time.perf_counter() - start))
-                return self._accept_cached(case, evidence, cached,
-                                           tuple(attempts), tuple(issues),
-                                           notes, start)
+                return self._accept(case, evidence, cached, "cache", 0,
+                                    tuple(attempts), tuple(issues), notes,
+                                    start)
 
         policy = self.policy
         last_error: BaseException | None = None
@@ -381,15 +381,18 @@ class RobustDiagnosisEngine(DiagnosisEngine):
             error.__cause__ = last_error
         return error
 
-    def _deadline_diagnose(self, deadline: float):
-        """Per-case diagnose callable sharing one batch wall-clock budget.
+    def _per_case_diagnose(self, deadline: float | None):
+        """Per-case fallback chain, sharing one batch wall-clock budget.
 
         Used by :meth:`DiagnosisEngine.diagnose_batch` (and by each serving
-        worker for its chunk): the budget drains monotonically, so cases
+        worker for its chunk): every slot runs through :meth:`diagnose`.
+        With a ``deadline`` the budget drains monotonically, so cases
         reached after expiry fail fast with
         :class:`~repro.exceptions.DeadlineExceededError` rather than
         starting doomed inference sweeps.
         """
+        if deadline is None:
+            return self.diagnose
         budget_end = time.perf_counter() + max(deadline, 0.0)
 
         def diagnose(case: DiagnosticCase) -> Diagnosis:
@@ -441,48 +444,13 @@ class RobustDiagnosisEngine(DiagnosisEngine):
         except (ReproError, OSError):
             pass
 
-    def _accept_cached(self, case: DiagnosticCase, evidence: dict[str, str],
-                       posteriors: dict[str, dict[str, float]],
-                       attempts: tuple[AttemptRecord, ...], issues: tuple,
-                       notes: list[str], start: float) -> Diagnosis:
-        """Build a Diagnosis from durably cached exact posteriors.
-
-        Only exact-engine results are ever written to the cache, so a hit
-        carries no effective-sample-size caveat; the provenance engine is
-        ``"cache"`` and the result is degraded only if the evidence
-        boundary had complaints.
-        """
-        degraded = bool(notes)
-        provenance = DiagnosisProvenance(
-            engine="cache", attempts=attempts,
-            wall_time=time.perf_counter() - start, degraded=degraded,
-            effective_sample_size=None, evidence_issues=issues,
-            notes=tuple(notes))
-        if degraded:
-            warnings.warn(
-                f"case {case.name!r} served degraded from the durable "
-                f"cache: " + "; ".join(notes), DegradedResultWarning,
-                stacklevel=3)
-        return self._build_diagnosis(case, evidence, posteriors, provenance)
-
-    def _build_diagnosis(self, case: DiagnosticCase,
-                         evidence: dict[str, str],
-                         posteriors: dict[str, dict[str, float]],
-                         provenance: DiagnosisProvenance) -> Diagnosis:
-        fail = {variable: self.fail_probability(variable, posteriors)
-                for variable in self.model.internal_variables}
-        return Diagnosis(
-            case_name=case.name, evidence=evidence, posteriors=posteriors,
-            fail_probabilities=fail,
-            suspects=self.deduce_candidates(posteriors),
-            ranked_candidates=self.rank_by_fail_probability(posteriors),
-            provenance=provenance)
-
     def _accept(self, case: DiagnosticCase, evidence: dict[str, str],
                 posteriors: dict[str, dict[str, float]], engine_name: str,
                 chain_position: int, attempts: tuple[AttemptRecord, ...],
                 issues: tuple, notes: list[str], start: float) -> Diagnosis:
-        """Build the final Diagnosis + provenance from accepted posteriors."""
+        """Build the final Diagnosis + provenance from accepted posteriors
+        (``engine_name`` is ``"cache"`` for a durable-cache hit, which holds
+        exact posteriors only)."""
         if self.posterior_cache is not None and engine_name in ("ve", "jt"):
             # Only exact posteriors are durable: a sampled result is
             # seed- and sample-count-dependent, and committing it would
@@ -507,10 +475,12 @@ class RobustDiagnosisEngine(DiagnosisEngine):
             warnings.warn(
                 f"case {case.name!r} served degraded by {engine_name!r}: "
                 + "; ".join(notes), DegradedResultWarning, stacklevel=3)
-        return self._build_diagnosis(case, evidence, posteriors, provenance)
+        return self._diagnosis(case.name, evidence, posteriors, provenance)
 
     def _effective_sample_size(self, engine_name: str) -> float | None:
         """Confidence signal of a sampled posterior; None for exact engines."""
+        if engine_name not in ("lw", "gibbs"):
+            return None
         engine = self._engine_for(engine_name)._engine
         ess = getattr(engine, "last_effective_sample_size", None)
         if ess is not None:

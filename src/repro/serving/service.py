@@ -753,10 +753,9 @@ class DiagnosisService:
         if kind == "ready":
             if worker.state == "starting":
                 worker.state = "idle"
-            if len(message) > 2:
-                # Workers with compiled policies report their one-time
-                # program-trace cost alongside readiness.
-                self._compile_ms += float(message[2])
+            # Workers report their one-time program-trace cost (0.0 for
+            # uncompiled policies) alongside readiness.
+            self._compile_ms += float(message[2])
             self._dispatch(now)
         elif kind == "done":
             self._complete_chunk(worker, message, now)
@@ -772,7 +771,7 @@ class DiagnosisService:
                                   now)
 
     def _complete_chunk(self, worker: _Worker, message, now: float) -> None:
-        _, chunk_id, results, elapsed = message[:4]
+        _, chunk_id, results, elapsed, compiled_queries, deltas = message
         chunk = worker.chunk
         if chunk is None or chunk.chunk_id != chunk_id:
             return  # stale (should not happen: one pipe per process)
@@ -783,10 +782,8 @@ class DiagnosisService:
         self._latency.record(elapsed)
         if chunk.pairs:
             self._case_latency.record(elapsed / len(chunk.pairs))
-        if len(message) > 4:
-            self._compiled_queries += int(message[4])
-        if len(message) > 5 and message[5]:
-            deltas = message[5]
+        self._compiled_queries += int(compiled_queries)
+        if deltas:
             self._cache_hits += int(deltas.get("cache_hits", 0))
             self._cache_misses += int(deltas.get("cache_misses", 0))
             self._cache_quarantined += int(

@@ -43,7 +43,7 @@ import logging
 import time
 import traceback
 
-from repro.core.diagnosis import Diagnosis, DiagnosisFailure, DiagnosticCase
+from repro.core.diagnosis import DiagnosisFailure
 from repro.core.model_builder import BuiltModel
 from repro.core.robust import FallbackPolicy, RobustDiagnosisEngine
 
@@ -177,7 +177,7 @@ def worker_main(conn, payload: WorkerPayload) -> None:
             else persist.resolve_model(payload.built_model)
         engine = _build_engine(payload, model, persist)
         compile_ms = 0.0
-        if getattr(payload.policy, "compiled", False):
+        if payload.policy.compiled:
             # Pay the one-time program trace here, before the worker
             # reports ready, so the first chunk's latency is pure query
             # cost.  The cost is logged once per worker and reported to the
@@ -221,7 +221,7 @@ def worker_main(conn, payload: WorkerPayload) -> None:
                     # content fingerprint re-keys the durable cache.
                     persist.note_engine_swap(engine)
                     engine = _build_engine(payload, fresh, persist)
-                    if getattr(payload.policy, "compiled", False):
+                    if payload.policy.compiled:
                         engine.warm_compile()
             started = time.perf_counter()
             queries_before = engine.compiled_query_count
@@ -243,23 +243,15 @@ def _run_chunk(engine: RobustDiagnosisEngine, pairs, budget, chaos):
     engine's draining-deadline closure, so a request deadline set at the
     service API bounds every attempt down in the fallback chain.
     """
-    diagnose = engine.diagnose if budget is None \
-        else engine._deadline_diagnose(budget)
+    diagnose = engine._per_case_diagnose(budget)
     results = []
     for slot, case in pairs:
         if chaos is not None:
             chaos.on_case(case)
-        results.append((slot, _diagnose_collect(diagnose, case)))
+        try:
+            result = diagnose(case)
+        except Exception as error:  # noqa: BLE001 - structured transport
+            result = DiagnosisFailure.from_exception(
+                case.name, case.raw_evidence(), error)
+        results.append((slot, result))
     return results
-
-
-def _diagnose_collect(diagnose, case: DiagnosticCase,
-                      ) -> Diagnosis | DiagnosisFailure:
-    """Run one case, converting any failure into a structured record."""
-    try:
-        return diagnose(case)
-    except Exception as error:  # noqa: BLE001 - structured transport
-        return DiagnosisFailure.from_exception(
-            case.name, case.raw_evidence(), error,
-            attempts=tuple(getattr(error, "attempts", ()) or ()),
-            wall_time=float(getattr(error, "wall_time", 0.0) or 0.0))

@@ -154,6 +154,22 @@ class TestSinglePassCounting:
         tree.posteriors(internal, evidence)
         assert tree.calibration_count == 2
 
+    def test_ve_diagnose_batch_is_one_sweep_per_signature(
+            self, regulator_built_model):
+        from repro.core import DiagnosisEngine
+        engine = DiagnosisEngine(regulator_built_model)
+        evidences = [case.evidence() for case in PAPER_DIAGNOSTIC_CASES]
+        dropped = sorted(evidences[0])[-1]
+        partial = [{variable: state for variable, state in evidence.items()
+                    if variable != dropped} for evidence in evidences[:3]]
+        batch = evidences + partial + evidences + partial
+        signatures = {tuple(sorted(evidence)) for evidence in batch}
+        assert len(signatures) >= 2
+        before = engine._engine.sweep_count
+        diagnoses = engine.diagnose_batch(batch)
+        assert len(diagnoses) == len(batch)
+        assert engine._engine.sweep_count - before == len(signatures)
+
 
 class TestCacheInvalidation:
     def test_ve_cache_drops_on_cpd_replacement(self, sprinkler_network):

@@ -332,32 +332,65 @@ def test_diagnosis_engine_compiled_parity(regulator_engine, inference):
                 probability, abs=TOL)
 
 
-@pytest.mark.parametrize("inference", ["ve", "jt"])
-def test_diagnose_batch_compiled_parity(regulator_engine, inference,
+@pytest.mark.parametrize("inference, compiled", [
+    pytest.param("ve", True, id="ve"),
+    pytest.param("jt", True, id="jt"),
+    pytest.param("ve", False, id="ve-interpreted"),
+])
+def test_diagnose_batch_compiled_parity(regulator_engine, inference, compiled,
                                         regulator_circuit,
                                         regulator_population):
+    """Every batched sweep agrees with per-case interpreted-JT ``diagnose``.
+
+    The batch mixes two evidence signatures (one observable dropped from
+    some cases) and repeats rows, so grouping and row deduplication are
+    both exercised.
+    """
     from repro.core import CaseGenerator
     model = regulator_engine.built_model
     generator = CaseGenerator(regulator_circuit.model)
     labeled = generator.cases_from_results(
         regulator_population.failing_results)
     cases = [case.observed() for case in labeled]
-    plain = DiagnosisEngine(model, inference="jt")
-    compiled = DiagnosisEngine(model, inference=inference, compiled=True)
-    expected = plain.diagnose_batch(cases, on_error="collect")
-    actual = compiled.diagnose_batch(cases, on_error="collect")
-    assert compiled.compiled_query_count == len(cases)
-    assert len(actual) == len(expected)
-    for ours, theirs in zip(actual, expected):
-        assert ours.ok == theirs.ok
-        if not theirs.ok:
-            assert ours.error_type == theirs.error_type
+    dropped = sorted(cases[0])[-1]
+    partial = [{variable: state for variable, state in case.items()
+                if variable != dropped} for case in cases[:6]]
+    batch = cases + partial + cases[:4] + partial[:3]
+    oracle = DiagnosisEngine(model, inference="jt")
+    engine = DiagnosisEngine(model, inference=inference, compiled=compiled)
+    actual = engine.diagnose_batch(batch, on_error="collect")
+    if compiled:
+        assert engine.compiled_query_count == len(batch)
+        assert engine.compile_count == 2  # one program per signature
+    assert len(actual) == len(batch)
+    for index, (evidence, ours) in enumerate(zip(batch, actual)):
+        try:
+            theirs = oracle.diagnose_evidence(evidence, name=f"case-{index}")
+        except ImpossibleEvidenceError as error:
+            assert not ours.ok
+            assert ours.error_type == type(error).__name__
+            assert ours.case_name == f"case-{index}"
             continue
+        assert ours.ok
+        assert ours.case_name == theirs.case_name
+        assert ours.evidence == theirs.evidence
+        for variable, state in ours.evidence.items():
+            # Evidence variables collapse onto their observed state.
+            assert ours.posteriors[variable][state] == 1.0
+            assert sum(ours.posteriors[variable].values()) == 1.0
         assert ours.suspects == theirs.suspects
+        assert list(ours.posteriors) == list(theirs.posteriors)
         for variable, distribution in theirs.posteriors.items():
+            assert list(ours.posteriors[variable]) == list(distribution)
             for state, probability in distribution.items():
                 assert ours.posteriors[variable][state] == pytest.approx(
                     probability, abs=TOL)
+        assert set(ours.fail_probabilities) == set(theirs.fail_probabilities)
+        for variable, probability in theirs.fail_probabilities.items():
+            assert ours.fail_probabilities[variable] == pytest.approx(
+                probability, abs=TOL)
+        assert dict(ours.ranked_candidates) == pytest.approx(
+            dict(theirs.ranked_candidates), abs=TOL)
 
 
 def test_compile_on_first_use_and_cpd_invalidation(regulator_engine):

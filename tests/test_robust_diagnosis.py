@@ -18,6 +18,7 @@ from repro.exceptions import (
     DegradedResultWarning,
     DiagnosisError,
     EvidenceError,
+    ImpossibleEvidenceError,
 )
 
 pytestmark = pytest.mark.filterwarnings(
@@ -132,6 +133,28 @@ class TestEvidenceModes:
 
 
 class TestBatchIsolation:
+    """The slot and failure contract of ``diagnose_batch`` on interpreted
+    VE; :class:`TestBatchIsolationAcrossEngines` repeats every test on the
+    other engine configurations."""
+
+    @pytest.fixture
+    def config(self):
+        return "ve", False
+
+    @pytest.fixture
+    def engine(self, designer_built_model, config):
+        inference, compiled = config
+        return DiagnosisEngine(designer_built_model, inference=inference,
+                               compiled=compiled)
+
+    @pytest.fixture
+    def robust(self, designer_built_model, config):
+        inference, compiled = config
+        return RobustDiagnosisEngine(
+            designer_built_model,
+            FallbackPolicy(chain=(inference, "lw"), compiled=compiled,
+                           num_samples=500, seed=3))
+
     @pytest.fixture
     def poisoned_batch(self):
         poisoned = DiagnosticCase(name="poisoned",
@@ -139,14 +162,28 @@ class TestBatchIsolation:
                                   observable_states={})
         return [PAPER_DIAGNOSTIC_CASES[0], poisoned, PAPER_DIAGNOSTIC_CASES[1]]
 
-    def test_raise_mode_propagates(self, designer_built_model, poisoned_batch):
-        engine = DiagnosisEngine(designer_built_model)
+    @pytest.fixture
+    def impossible_batch(self, designer_built_model):
+        """A middle case whose ``vp1`` state has prior probability zero."""
+        network = designer_built_model.network
+        original = network.get_cpd("vp1")
+        zeroed = original.copy()
+        zeroed.table[0, :] = 0.0
+        zeroed.table /= zeroed.table.sum(axis=0, keepdims=True)
+        network.add_cpd(zeroed)
+        good = PAPER_DIAGNOSTIC_CASES[0]
+        impossible = DiagnosticCase(
+            name="impossible",
+            controllable_states={**good.controllable_states, "vp1": "0"},
+            observable_states=dict(good.observable_states))
+        yield [good, impossible, PAPER_DIAGNOSTIC_CASES[1]]
+        network.add_cpd(original)
+
+    def test_raise_mode_propagates(self, engine, poisoned_batch):
         with pytest.raises(EvidenceError):
             engine.diagnose_batch(poisoned_batch)
 
-    def test_collect_mode_preserves_slots(self, designer_built_model,
-                                          poisoned_batch):
-        engine = DiagnosisEngine(designer_built_model)
+    def test_collect_mode_preserves_slots(self, engine, poisoned_batch):
         results = engine.diagnose_batch(poisoned_batch, on_error="collect")
         assert len(results) == 3
         assert isinstance(results[0], Diagnosis) and results[0].ok
@@ -157,20 +194,30 @@ class TestBatchIsolation:
         assert failure.error_type == "EvidenceError"
         assert failure.evidence == {"vp1": "99"}
 
-    def test_skip_mode_drops_failures(self, designer_built_model,
-                                      poisoned_batch):
-        engine = DiagnosisEngine(designer_built_model)
+    def test_skip_mode_drops_failures(self, engine, poisoned_batch):
         results = engine.diagnose_batch(poisoned_batch, on_error="skip")
         assert [r.case_name for r in results] == [
             PAPER_DIAGNOSTIC_CASES[0].name, PAPER_DIAGNOSTIC_CASES[1].name]
 
-    def test_unknown_mode_rejected(self, designer_built_model):
-        engine = DiagnosisEngine(designer_built_model)
+    def test_impossible_evidence_fails_only_its_slot(self, engine,
+                                                     impossible_batch):
+        results = engine.diagnose_batch(impossible_batch, on_error="collect")
+        assert [r.ok for r in results] == [True, False, True]
+        failure = results[1]
+        assert failure.case_name == "impossible"
+        assert failure.error_type == "ImpossibleEvidenceError"
+        assert failure.evidence == impossible_batch[1].evidence()
+        skipped = engine.diagnose_batch(impossible_batch, on_error="skip")
+        assert [r.case_name for r in skipped] == [
+            results[0].case_name, results[2].case_name]
+        with pytest.raises(ImpossibleEvidenceError):
+            engine.diagnose_batch(impossible_batch)
+
+    def test_unknown_mode_rejected(self, engine):
         with pytest.raises(DiagnosisError):
             engine.diagnose_batch([], on_error="explode")
 
-    def test_raw_evidence_batch_collect(self, designer_built_model):
-        engine = DiagnosisEngine(designer_built_model)
+    def test_raw_evidence_batch_collect(self, engine):
         good = PAPER_DIAGNOSTIC_CASES[0].evidence()
         results = engine.diagnose_batch([good, {"bogus": "1"}],
                                         names=["good", "bad"],
@@ -179,15 +226,21 @@ class TestBatchIsolation:
         assert isinstance(results[1], DiagnosisFailure)
         assert results[1].case_name == "bad"
 
-    def test_robust_batch_collect(self, robust_engine, poisoned_batch):
-        results = robust_engine.diagnose_batch(poisoned_batch,
-                                               on_error="collect")
+    def test_robust_batch_collect(self, robust, poisoned_batch):
+        results = robust.diagnose_batch(poisoned_batch, on_error="collect")
         assert isinstance(results[0], Diagnosis)
         assert isinstance(results[1], DiagnosisFailure)
         # Rejected at the evidence boundary: no inference attempt was made.
         assert results[1].error_type == "EvidenceError"
         assert results[1].attempts == ()
         assert isinstance(results[2], Diagnosis)
+
+
+class TestBatchIsolationAcrossEngines(TestBatchIsolation):
+    @pytest.fixture(params=[("ve", True), ("jt", False), ("jt", True)],
+                    ids=["ve-compiled", "jt", "jt-compiled"])
+    def config(self, request):
+        return request.param
 
 
 class TestTopCandidate:

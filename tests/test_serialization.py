@@ -126,6 +126,17 @@ class TestResultPickling:
         clone = roundtrip(failure)
         assert clone == failure
         assert clone.attempts[0].engine == "ve"
+        # Without an explicit trail the error's own is used; a crashed
+        # worker's integer retry count is not a trail.
+        crashed = DiagnosisFailure.from_exception(
+            "dev-1", {"v_out": "fail"}, WorkerCrashError("died", attempts=3))
+        assert crashed.attempts == () and crashed.wall_time == 0.0
+        late = DeadlineExceededError("late", remaining=-0.1, deadline=1.0)
+        late.attempts = failure.attempts
+        late.wall_time = 1.5
+        traced = DiagnosisFailure.from_exception("dev-1", {}, late)
+        assert traced.attempts == failure.attempts
+        assert traced.wall_time == 1.5
 
     def test_provenance_roundtrips(self):
         provenance = DiagnosisProvenance(
